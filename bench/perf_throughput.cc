@@ -31,8 +31,6 @@ emit(const char *label, DesignPoint point,
                 " \"mega_cycles_per_sec\": %.3f, \"requests\": %llu,"
                 " \"requests_per_sec\": %.0f,"
                 " \"pool_peak_live\": %zu,"
-                " \"skipped_cycles\": %llu, \"skip_windows\": %llu,"
-                " \"skip_fraction\": %.3f,"
                 " \"ckpt_writes\": %llu, \"ckpt_bytes\": %llu,"
                 " \"ckpt_write_seconds\": %.4f,"
                 " \"ckpt_overhead\": %.4f,"
@@ -47,10 +45,6 @@ emit(const char *label, DesignPoint point,
                 stats.wallSeconds, stats.megaCyclesPerSec(),
                 static_cast<unsigned long long>(stats.requests),
                 stats.requestsPerSec(), stats.poolPeakLive,
-                static_cast<unsigned long long>(stats.skippedCycles),
-                static_cast<unsigned long long>(stats.skipWindows),
-                safeDiv(static_cast<double>(stats.skippedCycles),
-                        static_cast<double>(stats.cycles)),
                 static_cast<unsigned long long>(stats.ckptWrites),
                 static_cast<unsigned long long>(stats.ckptBytes),
                 stats.ckptWriteSeconds,

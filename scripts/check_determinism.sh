@@ -44,19 +44,6 @@ if ! diff -u "$out_a" "$out_b"; then
 fi
 echo "deterministic: parallel (jobs=4) byte-identical to serial"
 
-# The event-driven loop (DESIGN.md §9) must be an observably pure
-# optimization: forcing per-cycle stepping with MASK_NO_CYCLE_SKIP=1
-# may not change a single byte of the simulated results.
-echo "== run 4 (cycle skipping disabled) =="
-MASK_BENCH_FAST=1 MASK_BENCH_PAIRS=4 MASK_BENCH_JOBS=1 \
-    MASK_NO_CYCLE_SKIP=1 "$BIN" >"$out_b" 2>/dev/null
-
-if ! diff -u "$out_a" "$out_b"; then
-    echo "DETERMINISM FAILURE: per-cycle loop diverged from event-driven loop" >&2
-    exit 1
-fi
-echo "deterministic: MASK_NO_CYCLE_SKIP=1 byte-identical to skipping loop"
-
 # Journal resume (DESIGN.md §10) must also be invisible: kill the
 # bench mid-sweep (an injected hard crash), resume it from the JSONL
 # journal, and require the resumed stdout byte-identical to an

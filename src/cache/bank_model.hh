@@ -40,19 +40,6 @@ class LatencyPipe
 
     std::size_t inFlight() const { return pipe_.size(); }
 
-    /**
-     * Cycle the oldest in-flight payload completes, or kNeverCycle
-     * when empty. Entries complete in FIFO order, so nothing in the
-     * pipe becomes ready earlier (next-event lower bound, DESIGN.md
-     * §9). The per-cycle port counter does not matter here: it only
-     * limits accepts, and accepts need a caller with queued input.
-     */
-    Cycle
-    nextReadyAt() const
-    {
-        return pipe_.empty() ? kNeverCycle : pipe_.front().readyAt;
-    }
-
     void serialize(StateWriter &w) const;
     void deserialize(StateReader &r);
 
@@ -83,10 +70,6 @@ class BankedPipe
     }
 
     LatencyPipe &bank(std::uint32_t idx) { return banks_[idx]; }
-    const LatencyPipe &bank(std::uint32_t idx) const
-    {
-        return banks_[idx];
-    }
 
     /** Bank selection by key (power-of-two bank count). */
     std::uint32_t bankFor(std::uint64_t key) const

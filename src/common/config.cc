@@ -317,10 +317,7 @@ configFingerprint(const GpuConfig &cfg)
 {
     // Deliberately excludes cfg.name: benches reuse one name across
     // distinct parameter sets, and the alone-IPC memo must never treat
-    // those as interchangeable. Also excludes cfg.cycleSkip: the
-    // event-driven loop is bit-identical to per-cycle stepping, so two
-    // configs differing only in it run identically by contract (the
-    // CycleSkip tier-1 suite enforces this).
+    // those as interchangeable.
     std::uint64_t h = 0x6d61736b2d666e76ull; // "mask-fnv"
 
     mix(h, cfg.numCores);
@@ -400,10 +397,10 @@ warmupFingerprint(const GpuConfig &cfg)
     // behavioural GpuConfig field qualifies today (see the
     // classification rules on the declaration): the measurement
     // length and the ckpt/obs/sweep knobs live outside GpuConfig, and
-    // the excluded fields — name, cycleSkip — are behaviour-neutral
-    // by contract. The seed constant differs from configFingerprint's
-    // so the two hash families can never be confused for one another
-    // (a warm snapshot header records THIS fingerprint).
+    // the one excluded field, name, is a free-form label. The seed
+    // constant differs from configFingerprint's so the two hash
+    // families can never be confused for one another (a warm snapshot
+    // header records THIS fingerprint).
     std::uint64_t h = 0x6d61736b2d77726dull; // "mask-wrm"
 
     // Core organization & virtual memory geometry.

@@ -228,17 +228,6 @@ struct GpuConfig
      */
     std::vector<std::uint32_t> coreShares;
 
-    /**
-     * Host-side switch for the event-driven main loop (DESIGN.md §9):
-     * when no component has work, Gpu::run fast-forwards now_ to the
-     * earliest nextEventCycle() instead of ticking every cycle.
-     * Results are bit-identical either way, so — like name — this is
-     * NOT part of configFingerprint. Forced off by MASK_NO_CYCLE_SKIP=1
-     * and whenever fault injection is enabled (the injector's RNG
-     * draws are scheduled per cycle).
-     */
-    bool cycleSkip = true;
-
     std::uint64_t seed = 1;
 
     std::uint64_t pageBytes() const { return 1ull << pageBits; }
@@ -329,9 +318,8 @@ std::uint64_t configFingerprint(const GpuConfig &cfg);
  *    field — the measurement length, checkpoint, observability and
  *    sweep knobs all live OUTSIDE GpuConfig (RunOptions / MASK_CKPT_*
  *    / MASK_TIMESERIES* / MASK_SWEEP_*).
- *  - measure-only / behaviour-neutral: excluded. Currently `name`
- *    (free-form label) and `cycleSkip` (the event-driven loop is
- *    bit-identical to per-cycle stepping by contract).
+ *  - measure-only / behaviour-neutral: excluded. Currently only
+ *    `name` (free-form label).
  */
 std::uint64_t warmupFingerprint(const GpuConfig &cfg);
 

@@ -226,23 +226,6 @@ BankedRequestQueue::pickReference(const std::vector<DramBank> &banks,
     return oldest;
 }
 
-Cycle
-BankedRequestQueue::nextWake(const std::vector<DramBank> &banks,
-                             Cycle now) const
-{
-    Cycle wake = kNeverCycle;
-    for (std::uint32_t b = 0; b < banks_.size(); ++b) {
-        if (banks_[b].count == 0)
-            continue;
-        const Cycle ready = banks[b].readyAt;
-        if (ready <= now)
-            return now;
-        if (ready < wake)
-            wake = ready;
-    }
-    return wake;
-}
-
 bool
 BankedRequestQueue::hasRowHitReference(
     std::uint32_t bank, const std::vector<DramBank> &banks) const

@@ -11,7 +11,7 @@
  * test.
  *
  * The structure is observationally identical to scanning the
- * age-ordered vector with frFcfsPick()/frFcfsNextWake(): the oldest
+ * age-ordered vector with frFcfsPick(): the oldest
  * serviceable entry is the minimum sequence number over ready banks'
  * FIFO heads, and the oldest row hit is the minimum over ready banks'
  * hit-chain heads (chains are kept in age order). pickReference()
@@ -142,13 +142,6 @@ class BankedRequestQueue
                                 std::uint32_t starvation_cap,
                                 std::uint64_t *cap_escalations,
                                 std::uint64_t *scanned);
-
-    /**
-     * Earliest cycle >= @p now at which some entry's bank is ready
-     * (frFcfsNextWake), from the per-bank occupancy counts: O(banks).
-     */
-    Cycle nextWake(const std::vector<DramBank> &banks,
-                   Cycle now) const;
 
     /** Any queued entry hitting @p bank's open row? O(1). */
     bool hasRowHit(std::uint32_t bank) const

@@ -50,19 +50,4 @@ frFcfsPick(std::vector<DramQueueEntry> &queue,
     return oldest_serviceable;
 }
 
-Cycle
-frFcfsNextWake(const std::vector<DramQueueEntry> &queue,
-               const std::vector<DramBank> &banks, Cycle now)
-{
-    Cycle wake = kNeverCycle;
-    for (const DramQueueEntry &entry : queue) {
-        const Cycle ready = banks[entry.bank].readyAt;
-        if (ready <= now)
-            return now;
-        if (ready < wake)
-            wake = ready;
-    }
-    return wake;
-}
-
 } // namespace mask

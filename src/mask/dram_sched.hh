@@ -35,16 +35,6 @@ class SilverQuotaController : public SilverQuotaProvider
     void sample(AppId app, std::uint32_t concurrent_walks,
                 std::uint32_t warps_stalled);
 
-    /**
-     * Closed form of @p cycles identical sample() calls, used when the
-     * main loop skips a window in which both inputs are provably
-     * constant (DESIGN.md §9). Bit-identical to the per-cycle loop:
-     * the product and every partial sum are integers below 2^53, so
-     * repeated addition and one multiply-add round the same way.
-     */
-    void sampleN(AppId app, std::uint32_t concurrent_walks,
-                 std::uint32_t warps_stalled, Cycle cycles);
-
     /** thresh_i for @p app from the current accumulators. */
     std::uint32_t silverQuota(AppId app) const override;
 

@@ -14,14 +14,6 @@ namespace mask {
 
 namespace {
 
-/** MASK_NO_CYCLE_SKIP=1 forces the legacy per-cycle loop. */
-bool
-cycleSkipDisabledByEnv()
-{
-    const char *env = std::getenv("MASK_NO_CYCLE_SKIP");
-    return env != nullptr && env[0] == '1';
-}
-
 /** MASK_PROFILE_STAGES=1 turns on the per-stage wall-clock profiler. */
 bool
 profileStagesByEnv()
@@ -128,12 +120,6 @@ Gpu::Gpu(const GpuConfig &cfg, const std::vector<AppDesc> &apps)
     dramRetryFull_.resize(static_cast<std::size_t>(
         dram_.numChannels() * 2 * apps.size()));
 
-    // Fault injection draws its RNG on a per-cycle schedule, so the
-    // event-driven loop would have to replay it anyway; fall back to
-    // per-cycle stepping whenever the injector is live (DESIGN.md §9).
-    cycleSkip_ = cfg_.cycleSkip && !faults_.enabled() &&
-                 !cycleSkipDisabledByEnv();
-
     // Steady-state in-flight bound: one request per L1 MSHR entry
     // (primary data misses) plus one PTE fetch per walker thread.
     // Reserving up front means the pool never reallocates mid-run;
@@ -205,196 +191,21 @@ Gpu::~Gpu()
 void
 Gpu::run(Cycle cycles)
 {
-    // Probing for a skip costs a scan of the DRAM queues; when the
-    // machine is saturated the probe fails every cycle, so a failed
-    // probe backs off this many cycles before trying again. Purely a
-    // host-side heuristic: it decides only whether a provably-empty
-    // window is skipped or ticked, never what the window computes.
-    constexpr Cycle kSkipProbeBackoff = 8;
-
     const auto wall_start = std::chrono::steady_clock::now();
     const Cycle end = now_ + cycles;
     // A cancelled token (sweep deadline) unwinds here with
     // SimCancelledError; the poll is one thread-local load when no
     // token is installed, invisible next to a tick.
-    if (!cycleSkip_) {
-        while (now_ < end) {
-            pollCancellation();
-            if (now_ >= nextCkpt_)
-                maybeCheckpoint();
-            tickOne();
-        }
-    } else {
-        while (now_ < end) {
-            pollCancellation();
-            if (now_ >= nextCkpt_)
-                maybeCheckpoint();
-            tickOne();
-            if (now_ >= end || now_ < nextSkipProbe_)
-                continue;
-            const Cycle next = nextEventCycle();
-            if (next > now_)
-                skipTo(std::min(next, end));
-            else
-                nextSkipProbe_ = now_ + kSkipProbeBackoff;
-        }
+    while (now_ < end) {
+        pollCancellation();
+        if (now_ >= nextCkpt_)
+            maybeCheckpoint();
+        tickOne();
     }
     wallSeconds_ +=
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       wall_start)
             .count();
-}
-
-Cycle
-Gpu::nextEventCycle() const
-{
-    const Cycle now = now_;
-
-    // The DRAM retry deque re-probes channel queues every cycle and
-    // its rejects feed scheduler counters, so it pins per-cycle
-    // stepping. The data/translation retry deques do not: they are
-    // event-gated (woken by memory responses, which the memory-side
-    // bounds below account for), and the data-retry stats the legacy
-    // per-cycle probes accumulated are advanced in closed form by
-    // skipTo().
-    if (!dramRetry_.empty())
-        return now;
-
-    // A core with a ready warp issues this cycle. Idle cores have no
-    // self-wakeup: they are woken by memory responses, which the
-    // memory-side bounds below account for.
-    for (const auto &core : cores_) {
-        if (core->canIssueNow())
-            return now;
-    }
-
-    // Walker work available right now. Capacity frees only through
-    // walk completion (a memory event), so a queued walk with no free
-    // thread needs no bound of its own.
-    if (walker_.hasPendingFetch() ||
-        (!walkStartQueue_.empty() && walker_.hasCapacity()))
-        return now;
-
-    Cycle next = kNeverCycle;
-
-    // Fixed-latency pipes: queued inputs drain as ports free up each
-    // cycle (work now); otherwise the FIFO head completes first.
-    if (l2Work_ > 0) {
-        for (std::uint32_t b = 0; b < l2Pipe_.numBanks(); ++b) {
-            if (!l2Input_[b].empty())
-                return now;
-            next = std::min(next, l2Pipe_.bank(b).nextReadyAt());
-        }
-    }
-    if (cfg_.design == TranslationDesign::PwCache) {
-        if (!pwInput_.empty())
-            return now;
-        next = std::min(next, pwCachePipe_.nextReadyAt());
-    }
-    if (cfg_.design == TranslationDesign::SharedTlb) {
-        if (!l2TlbInput_.empty())
-            return now;
-        next = std::min(next, l2TlbPipe_.nextReadyAt());
-    }
-
-    // DRAM: consult only when busy, mirroring the tickOne gate (an
-    // idle subsystem is never ticked, so it can contribute no event).
-    if (dram_.busy()) {
-        next = std::min(next, dram_.nextEventCycle(now));
-        if (next <= now)
-            return now;
-    }
-
-    // A drained core waits out its switch penalty.
-    if (switchesInFlight_ > 0) {
-        for (CoreId c = 0; c < cores_.size(); ++c) {
-            const PendingSwitch &sw = pendingSwitch_[c];
-            if (!sw.pending || !cores_[c]->drained())
-                continue;
-            if (sw.notBefore <= now)
-                return now;
-            next = std::min(next, sw.notBefore);
-        }
-    }
-
-    // Time-driven components.
-    next = std::min(next, walkSampler_.nextDue());
-    next = std::min(next, readySampler_.nextDue());
-    next = std::min(next, nextEpoch_);
-    next = std::min(next, watchdog_.nextDue());
-    return next;
-}
-
-void
-Gpu::skipTo(Cycle target)
-{
-    const Cycle skipped = target - now_;
-
-    // Closed-form advance of the only per-cycle accumulators that run
-    // in an otherwise-empty window: warp stall counters and (under the
-    // MASK DRAM scheduler) the Equation 1 quota sums. Their inputs are
-    // constant across the window because nothing else does work in it.
-    for (auto &core : cores_)
-        core->skipIdleCycles(skipped);
-    // Parked MSHR-full data accesses: the per-cycle retry pass counts
-    // one L1 miss probe and one MSHR rejection per parked entry per
-    // cycle (their outcome is pinned until a response arrives, so the
-    // counts are exact; per-core sharding turns them into one closed
-    // form per occupied core).
-    if (dataRetryCount_ > 0) {
-        for (CoreId c = 0; c < cores_.size(); ++c) {
-            const std::size_t n = dataRetryByCore_[c].size();
-            if (n == 0)
-                continue;
-            ShaderCore &core = *cores_[c];
-            core.l1dStats().misses += n * skipped;
-            core.l1Mshr().addRejections(n * skipped);
-        }
-    }
-    // Timeseries samples due inside the window (DESIGN.md §13): the
-    // window is provably empty, so every sampled gauge except the
-    // Equation 1 quota sums is constant across it. Advance the quota
-    // accumulators in closed-form segments up to each due point and
-    // sample there, then cover the remainder — byte-identical to the
-    // per-cycle loop's accumulate-then-sample order. The skip target
-    // and the window statistics are untouched, so GpuStats stays
-    // byte-identical with the sampler on or off.
-    if (obsTs_ != nullptr && obsTs_->nextDue() < target) {
-        Cycle pos = now_;
-        while (obsTs_->nextDue() < target) {
-            const Cycle due = obsTs_->nextDue();
-            if (cfg_.mask.dramSched) {
-                const Cycle seg = due - pos + 1;
-                for (AppId a = 0; a < apps_.size(); ++a) {
-                    quota_.sampleN(a, walker_.activeWalksFor(a),
-                                   stalledAccesses_[a], seg);
-                }
-            }
-            obsSampleAt(due);
-            pos = due + 1;
-        }
-        if (cfg_.mask.dramSched && pos < target) {
-            for (AppId a = 0; a < apps_.size(); ++a) {
-                quota_.sampleN(a, walker_.activeWalksFor(a),
-                               stalledAccesses_[a], target - pos);
-            }
-        }
-    } else if (cfg_.mask.dramSched) {
-        for (AppId a = 0; a < apps_.size(); ++a) {
-            quota_.sampleN(a, walker_.activeWalksFor(a),
-                           stalledAccesses_[a], skipped);
-        }
-    }
-
-    skippedCycles_ += skipped;
-    ++skipWindows_;
-    std::size_t bucket = 0;
-    while (bucket + 1 < kSkipHistBuckets &&
-           (Cycle{1} << (bucket + 1)) <= skipped)
-        ++bucket;
-    ++skipWindowLog2_[bucket];
-
-    now_ = target;
 }
 
 void
@@ -1615,10 +1426,6 @@ Gpu::resetStats()
     ckptBytes_ = 0;
     ckptWrites_ = 0;
     allocsAtReset_ = pool_.totalAllocated();
-    skippedCycles_ = 0;
-    skipWindows_ = 0;
-    std::fill(std::begin(skipWindowLog2_), std::end(skipWindowLog2_),
-              std::uint64_t{0});
     dataRetryProbes_ = 0;
     tlbRetryProbes_ = 0;
     std::fill(std::begin(stageSeconds_), std::end(stageSeconds_), 0.0);
@@ -1682,10 +1489,6 @@ Gpu::collect()
     out.ckptBytes = ckptBytes_;
     out.ckptWrites = ckptWrites_;
     out.requests = pool_.totalAllocated() - allocsAtReset_;
-    out.skippedCycles = skippedCycles_;
-    out.skipWindows = skipWindows_;
-    out.skipWindowLog2.assign(std::begin(skipWindowLog2_),
-                              std::end(skipWindowLog2_));
     out.dramSchedPicks = dram_.schedPicks();
     out.dramSchedBanksScanned = dram_.schedUnitsScanned();
     out.dataRetryProbes = dataRetryProbes_;
@@ -1712,11 +1515,7 @@ Gpu::collect()
 // machine, never feeds back into it, is never serialized, and its
 // knobs (resolved from the environment, or from the sweep runner's
 // per-job thread-local override, at construction) take no part in
-// configFingerprint. The sampler is deliberately NOT an event source
-// for nextEventCycle(): bounding skip windows at sample due points
-// would change the skip statistics inside GpuStats and break the
-// obs-on/off byte-identity guarantee — skipTo() instead advances the
-// quota accumulators in segments through each due point.
+// configFingerprint.
 
 void
 Gpu::obsInit()
@@ -2068,10 +1867,8 @@ Gpu::setCheckpointHook(Cycle interval, std::function<void(Gpu &)> fn)
 void
 Gpu::maybeCheckpoint()
 {
-    // A skip window can cross several interval boundaries at once;
-    // fire one checkpoint per crossing batch, never retroactively.
-    while (nextCkpt_ <= now_)
-        nextCkpt_ += ckptInterval_;
+    // The per-cycle loop reaches every boundary exactly.
+    nextCkpt_ += ckptInterval_;
     if (!ckptFn_)
         return;
     const auto t0 = std::chrono::steady_clock::now();
@@ -2243,15 +2040,6 @@ Gpu::serialize(StateWriter &w) const
                 putSeq(sw, v, putAccess);
             });
     }
-
-    // Event-driven loop bookkeeping: the skip stats are reported by
-    // collect(), so they must survive a restore bit-exactly too.
-    w.tag("skip");
-    w.u(nextSkipProbe_);
-    w.u(skippedCycles_);
-    w.u(skipWindows_);
-    for (const std::uint64_t v : skipWindowLog2_)
-        w.u(v);
 }
 
 void
@@ -2494,13 +2282,6 @@ Gpu::deserialize(StateReader &r)
                 getSeq(sr, v, getAccess);
             });
     }
-
-    r.tag("skip");
-    nextSkipProbe_ = r.u();
-    skippedCycles_ = r.u();
-    skipWindows_ = r.u();
-    for (std::uint64_t &v : skipWindowLog2_)
-        v = r.u();
 
     r.finish();
 

@@ -109,16 +109,6 @@ struct GpuStats
     std::uint64_t ckptBytes = 0;
     std::uint64_t ckptWrites = 0;
 
-    // Event-driven loop observability (DESIGN.md §9): cycles the main
-    // loop fast-forwarded past instead of ticking, how many contiguous
-    // windows that took, and a log2 histogram of window lengths
-    // (bucket i counts windows of [2^i, 2^(i+1)) cycles). Host-side
-    // accounting like wallSeconds: simulated results are bit-identical
-    // with skipping on or off.
-    std::uint64_t skippedCycles = 0;
-    std::uint64_t skipWindows = 0;
-    std::vector<std::uint64_t> skipWindowLog2;
-
     // Scheduler/retry work counters (DESIGN.md §12): deterministic
     // functions of the simulated machine, so they double as
     // host-independent perf-regression gates. Host-side only — never
@@ -275,10 +265,8 @@ class Gpu
 
     /**
      * Install a periodic checkpoint callback: @p fn runs at the top of
-     * the run() loop whenever now() crossed the next multiple-of-
-     * @p interval boundary (opportunistic — event-driven skips are
-     * never clamped, so the callback fires at the first loop iteration
-     * at or past the boundary). interval == 0 uninstalls; the disabled
+     * the run() loop each time now() reaches the next multiple-of-
+     * @p interval boundary. interval == 0 uninstalls; the disabled
      * path costs one predictable branch per iteration.
      */
     void setCheckpointHook(Cycle interval,
@@ -350,26 +338,6 @@ class Gpu
         std::size_t probes = 0;
         bool inPhase1 = true;
     };
-
-    // --- Event-driven main loop (DESIGN.md §9) ---
-
-    /**
-     * Lower bound on the next cycle >= now_ at which any component
-     * does work. Returning now_ is always safe (it just disables the
-     * skip); a value beyond now_ is a guarantee that every tickOne()
-     * in (now_, bound) would be a no-op except for the per-cycle
-     * accumulators that skipTo() advances in closed form.
-     */
-    Cycle nextEventCycle() const;
-
-    /**
-     * Fast-forward now_ to @p target (exclusive of its tick),
-     * closed-form-advancing per-cycle state: core stall counters
-     * (ShaderCore::skipIdleCycles) and the Silver-queue quota sums
-     * (SilverQuotaController::sampleN). Bit-identical to ticking the
-     * window cycle by cycle.
-     */
-    void skipTo(Cycle target);
 
     // --- Pipeline stages (called from tickOne in order) ---
     void stageFaults();
@@ -579,20 +547,8 @@ class Gpu
     /** Cores with an unfinished app switch (skip stageSwitches). */
     std::uint32_t switchesInFlight_ = 0;
 
-    // --- Event-driven loop state (DESIGN.md §9) ---
-    static constexpr std::size_t kSkipHistBuckets = 16;
-    /** Skipping resolved at construction: cfg_.cycleSkip, no fault
-     *  injection, and MASK_NO_CYCLE_SKIP unset. */
-    bool cycleSkip_ = false;
-    /** After a failed skip probe, don't re-probe until this cycle
-     *  (deterministic backoff; affects only host-side skip stats). */
-    Cycle nextSkipProbe_ = 0;
-    std::uint64_t skippedCycles_ = 0;
-    std::uint64_t skipWindows_ = 0;
-    std::uint64_t skipWindowLog2_[kSkipHistBuckets] = {};
-
     // --- Checkpoint hook (DESIGN.md §11; host-side policy) ---
-    /** Advance nextCkpt_ past now_ and invoke the callback. */
+    /** Advance nextCkpt_ one interval and invoke the callback. */
     void maybeCheckpoint();
     Cycle ckptInterval_ = 0;
     Cycle nextCkpt_ = kNeverCycle;

@@ -49,7 +49,7 @@ class Gpu;
 struct GpuStats;
 
 /** Snapshot file format version (bump on any payload layout change). */
-constexpr std::uint64_t kSnapshotVersion = 1;
+constexpr std::uint64_t kSnapshotVersion = 2;
 
 /** FNV-1a 64-bit hash (payload checksums). */
 std::uint64_t fnv1a64(std::string_view data);

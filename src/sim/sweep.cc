@@ -26,16 +26,6 @@ namespace mask {
 
 namespace {
 
-std::uint64_t
-envU64(const char *name, std::uint64_t fallback)
-{
-    const char *env = std::getenv(name);
-    if (env == nullptr || env[0] == '\0')
-        return fallback;
-    const long long n = std::atoll(env);
-    return n >= 0 ? static_cast<std::uint64_t>(n) : fallback;
-}
-
 /**
  * Deterministic fault injection for the resilience smoke tests:
  * MASK_SWEEP_FAULT_CRASH=<job index> segfaults that job on every

@@ -23,15 +23,6 @@ namespace mask {
 
 namespace {
 
-std::uint64_t
-envU64(const char *name, std::uint64_t fallback)
-{
-    const char *raw = std::getenv(name);
-    if (raw == nullptr || *raw == '\0')
-        return fallback;
-    return std::strtoull(raw, nullptr, 10);
-}
-
 /** Worker ids become file names and lease tokens: keep them to a
  *  conservative charset so neither role can be confused. */
 std::string

@@ -21,6 +21,8 @@ namespace {
 // v2: added the checkpoint-overhead fields (ckptWriteSeconds,
 // ckptBytes, ckptWrites) to the GpuStats tail.
 constexpr const char *kBlobVersion = "v2";
+/** Length of the retired skip-window histogram slot in v2 blobs. */
+constexpr std::size_t kRetiredSkipBuckets = 16;
 
 struct Encoder
 {
@@ -213,9 +215,15 @@ encodeStats(Encoder &enc, const GpuStats &s)
     // simulation.
     enc.d(0.0);
     enc.u(s.requests);
-    enc.u(s.skippedCycles);
-    enc.u(s.skipWindows);
-    enc.vec(s.skipWindowLog2, [&](std::uint64_t v) { enc.u(v); });
+    // Retired slots of the removed cycle-skip statistics (skipped
+    // cycles, skip windows, a 16-bucket window histogram): written as
+    // the zeros the per-cycle loop always reported, so blobs and the
+    // digests over them stay byte-identical within v2.
+    enc.u(0);
+    enc.u(0);
+    enc.u(kRetiredSkipBuckets);
+    for (std::size_t i = 0; i < kRetiredSkipBuckets; ++i)
+        enc.u(0);
     // Checkpoint overhead is host-side like wallSeconds: the measured
     // values vary run to run (and are zero whenever checkpointing is
     // off), so the blob carries zeros to stay a pure function of the
@@ -275,9 +283,11 @@ decodeStats(Decoder &dec, GpuStats &s)
     s.poolCapacity = dec.u();
     s.wallSeconds = dec.d();
     s.requests = dec.u();
-    s.skippedCycles = dec.u();
-    s.skipWindows = dec.u();
-    dec.vec(s.skipWindowLog2, [&]() { return dec.u(); });
+    // Retired cycle-skip slots: read and discarded.
+    dec.u();
+    dec.u();
+    std::vector<std::uint64_t> retired;
+    dec.vec(retired, [&]() { return dec.u(); });
     s.ckptWriteSeconds = dec.d();
     s.ckptBytes = dec.u();
     s.ckptWrites = dec.u();
@@ -322,6 +332,17 @@ decodePairResult(const std::string &blob)
 // ---------------------------------------------------------------------
 // JSONL journal
 // ---------------------------------------------------------------------
+
+std::uint64_t
+envU64(const char *name, std::uint64_t fallback)
+{
+    const char *env = std::getenv(name);
+    if (env == nullptr || env[0] < '0' || env[0] > '9')
+        return fallback;
+    errno = 0;
+    const unsigned long long v = std::strtoull(env, nullptr, 10);
+    return errno == ERANGE ? fallback : v;
+}
 
 std::string
 jsonEscape(const std::string &raw)

@@ -46,6 +46,7 @@
 #define MASK_SIM_SWEEP_IO_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <mutex>
 #include <string>
@@ -59,6 +60,14 @@ std::string encodePairResult(const PairResult &result);
 
 /** Inverse of encodePairResult (throws std::runtime_error). */
 PairResult decodePairResult(const std::string &blob);
+
+/**
+ * Unsigned integer knob @p name from the environment. Unset, empty,
+ * negative, non-numeric or out-of-range values yield @p fallback (a
+ * signed "-1" must not wrap to 2^64-1); otherwise the leading decimal
+ * digits are parsed.
+ */
+std::uint64_t envU64(const char *name, std::uint64_t fallback);
 
 /** Minimal JSON string escaping for journal fields. */
 std::string jsonEscape(const std::string &raw);

@@ -59,16 +59,6 @@ class Watchdog
                now >= nextSweep_;
     }
 
-    /** First cycle at which due() becomes true, or kNeverCycle when
-     *  sweeping is disabled (next-event bound, DESIGN.md §9). */
-    Cycle
-    nextDue() const
-    {
-        if (!cfg_.enabled || cfg_.sweepInterval == 0)
-            return kNeverCycle;
-        return nextSweep_;
-    }
-
     /**
      * Inspect every structure in @p view; throws SimInvariantError on
      * the first stuck item or violated bound.

@@ -4,8 +4,7 @@
  * are observation-only and deterministic. Same-seed runs must produce
  * byte-identical timeseries/trace files; turning tracing on must not
  * change a single bit of GpuStats across design points and fault
- * injection; the per-cycle and cycle-skipping loops must sample
- * identical rows; and a snapshot save/resume pair must emit exactly
+ * injection; and a snapshot save/resume pair must emit exactly
  * the reference trace-event stream, split across two files with no
  * duplicate or missing duration events. Plus unit coverage for the
  * registry schema, JSON formatting, env-knob parsing, due/rearm
@@ -408,33 +407,6 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_tuple(DesignPoint::Mask, true),
         std::make_tuple(DesignPoint::Ideal, false),
         std::make_tuple(DesignPoint::Ideal, true)));
-
-// ---------------------------------------------------------------------
-// Cycle-skip equivalence: the segmented skipTo() sampler must emit
-// the identical rows the per-cycle loop samples at the same cycles.
-// ---------------------------------------------------------------------
-
-TEST(ObsCycleSkip, SkippingAndPerCycleLoopsSampleIdenticalRows)
-{
-    GpuConfig skip = configFor(DesignPoint::Mask, false);
-    GpuConfig noskip = skip;
-    noskip.cycleSkip = false;
-
-    const obs::ObsOptions oSkip = optsFor("skip");
-    const obs::ObsOptions oNoskip = optsFor("noskip");
-    const std::string bSkip = runWithObs(skip, oSkip);
-    const std::string bNoskip = runWithObs(noskip, oNoskip);
-
-    EXPECT_EQ(bSkip, bNoskip);
-    EXPECT_EQ(readFile(oSkip.timeseriesPath),
-              readFile(oNoskip.timeseriesPath))
-        << "skipTo() sampling diverged from per-cycle sampling";
-    EXPECT_EQ(readFile(oSkip.tracePath), readFile(oNoskip.tracePath));
-
-    for (const auto &p : {oSkip.timeseriesPath, oSkip.tracePath,
-                          oNoskip.timeseriesPath, oNoskip.tracePath})
-        std::remove(p.c_str());
-}
 
 // ---------------------------------------------------------------------
 // Snapshot save/resume: the two trace files concatenate to exactly

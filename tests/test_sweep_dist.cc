@@ -206,6 +206,27 @@ TEST(DistPolicyEnv, ParsesKnobsAndEnforcesFloors)
     EXPECT_TRUE(policy.mergeOnly);
 
     EXPECT_FALSE(distPolicyFromEnv().enabled());
+
+    // Negative and non-numeric values fall back to the defaults
+    // instead of wrapping to 2^64-1 (or parsing as 0).
+    const DistPolicy defaults;
+    for (const char *bad : {"-1", "abc"}) {
+        ::setenv("MASK_SWEEP_DIST_DIR", "/tmp/distenv", 1);
+        ::setenv("MASK_SWEEP_DIST_HEARTBEAT_MS", bad, 1);
+        ::setenv("MASK_SWEEP_DIST_STEAL_AFTER_MS", bad, 1);
+        ::setenv("MASK_SWEEP_DIST_MAX_STEALS", bad, 1);
+        ::setenv("MASK_SWEEP_DIST_POLL_MS", bad, 1);
+        const DistPolicy fell_back = distPolicyFromEnv();
+        ::unsetenv("MASK_SWEEP_DIST_DIR");
+        ::unsetenv("MASK_SWEEP_DIST_HEARTBEAT_MS");
+        ::unsetenv("MASK_SWEEP_DIST_STEAL_AFTER_MS");
+        ::unsetenv("MASK_SWEEP_DIST_MAX_STEALS");
+        ::unsetenv("MASK_SWEEP_DIST_POLL_MS");
+        EXPECT_EQ(fell_back.heartbeatMs, defaults.heartbeatMs) << bad;
+        EXPECT_EQ(fell_back.stealAfterMs, defaults.stealAfterMs) << bad;
+        EXPECT_EQ(fell_back.maxSteals, defaults.maxSteals) << bad;
+        EXPECT_EQ(fell_back.pollMs, defaults.pollMs) << bad;
+    }
 }
 
 TEST(SweepStatusNames, RoundTripIncludingAbandoned)

@@ -142,10 +142,6 @@ randomResult(Rng &rng)
     s.poolPeakLive = static_cast<std::size_t>(rng());
     s.poolCapacity = static_cast<std::size_t>(rng());
     s.requests = rng();
-    s.skippedCycles = rng();
-    s.skipWindows = rng();
-    for (std::size_t i = 0, n = smallSize(rng); i < n; ++i)
-        s.skipWindowLog2.push_back(rng());
     // wallSeconds and the ckpt* overhead fields stay zero: they are
     // host-side accounting the codec deliberately encodes as zeros so
     // the blob is a pure function of the simulation.
